@@ -18,6 +18,7 @@ no version arrays, no visibility checks, auto-commit semantics.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +39,7 @@ from repro.guard import CancelToken, ExecutionGuard, Guardrails
 from repro.index import make_index
 from repro.index.base import SpatialIndex
 from repro.obs import Observability, Trace
-from repro.obs.waits import WAITS, WaitAttribution, summary_delta
+from repro.obs.waits import WAITS, summary_delta
 from repro.sql import ast
 from repro.sql.executor import Compiler, ExecContext, Scope, SpanNode, Stats
 from repro.sql.functions import FunctionRegistry
@@ -276,13 +277,36 @@ class Database:
         error propagates, so a failed statement never leaves a
         half-applied transaction behind.
         """
-        if session is None:
-            session = self._session
         guard = self.guardrails.start(
             timeout=timeout, max_rows=max_rows, max_bytes=max_bytes,
             cancel=cancel,
         )
-        statement = self._parse_statement(sql)
+        return self._execute(
+            sql, self._parse_statement(sql), params, guard,
+            self._session if session is None else session,
+        )[0]
+
+    def _execute(
+        self,
+        sql: str,
+        statement: ast.Statement,
+        params: Sequence[Any],
+        guard: Optional[ExecutionGuard],
+        session: Session,
+        capture: bool = False,
+    ) -> Tuple[ResultSet, Optional[Trace]]:
+        """The one statement path, behind :meth:`execute` and
+        :meth:`explain_analyze`.
+
+        BEGIN / COMMIT / ROLLBACK act on the session. A SELECT runs its
+        cached plan under the shared latch; anything else flushes the
+        plan cache and runs under the exclusive latch. Only when
+        observation is on — ``obs.active``, or ``capture`` forcing a span
+        tree for this one call — does the statement time itself, run a
+        :class:`SpanNode` copy of the cached plan if spans are wanted,
+        and hand its :class:`Trace` (also returned) to
+        :meth:`Observability.record`.
+        """
         waits_on = WAITS.enabled
         if waits_on:
             txn = session.txn
@@ -294,53 +318,77 @@ class Database:
         try:
             if is_txn_control(statement):
                 with self._latch.exclusive():
-                    return self._run_txn_control(statement, session)
+                    return self._run_txn_control(statement, session), None
+            params = tuple(params)
+            obs = self.obs
+            observed = capture or obs.active
+            if observed:
+                if obs.hooks.query_start:
+                    obs.hooks.fire_query_start(sql, params)
+                capture = capture or obs.capture_spans
+                waits_before = WAITS.thread_summary() if waits_on else None
+                started_at = time.time()
+                start = time.perf_counter()
+            shard = Stats()
+            if waits_on:
+                # the live shard is the ASH rows-processed progress counter
+                WAITS.attach_shard(shard)
+            result = plan = root = trace = None
+            outcome = "error"
             try:
-                if self.obs.active:
-                    return self._execute_observed(
-                        sql, statement, params, guard, session
-                    )
-                return self._execute_plain(
-                    sql, statement, params, guard, session
-                )
+                try:
+                    if isinstance(statement, ast.Select):
+                        with self._latch.shared():
+                            plan, names = self._cached_plan(
+                                sql, statement, shard
+                            )
+                            run = plan
+                            if capture:
+                                run = SpanNode(plan, (
+                                    obs.hooks.fire_operator_close
+                                    if obs.hooks.operator_close else None
+                                ))
+                                root = run.span
+                            ctx = ExecContext(
+                                params, self.profile, self.registry,
+                                self.catalog, shard, guard,
+                                self._snapshot_for(session),
+                            )
+                            result = ResultSet(names, self._collect(run, ctx))
+                    else:
+                        with self._latch.exclusive():
+                            with self._cache_lock:
+                                self._plan_cache.clear()
+                            result = self._dispatch_statement(
+                                statement, params, guard, session, shard
+                            )
+                    outcome = "ok"
+                except SerializationError:
+                    outcome = "abort"
+                    raise
+                except QueryTimeoutError:
+                    outcome = "timeout"
+                    raise
+                finally:
+                    self._merge_stats(shard)
+                    if observed:
+                        trace = Trace(
+                            sql, self.profile.name, type(statement).__name__,
+                            time.perf_counter() - start, started_at,
+                            result.rowcount if result is not None else 0,
+                            {k: v for k, v in shard.snapshot().items() if v},
+                            root=root, outcome=outcome, plan=plan,
+                            waits=None if waits_before is None else
+                            summary_delta(waits_before, WAITS.thread_summary()),
+                        )
+                        obs.record(trace)
             except ReproError:
                 self._abort_session(session)
                 raise
+            return result, trace
         finally:
             if waits_on:
                 WAITS.end_statement()
-
-    def _execute_plain(
-        self,
-        sql: str,
-        statement: ast.Statement,
-        params: Sequence[Any],
-        guard: Optional[ExecutionGuard],
-        session: Session,
-    ) -> ResultSet:
-        if isinstance(statement, ast.Select):
-            shard = Stats()
-            if WAITS.enabled:
-                # the live shard is the ASH rows-processed progress counter
-                WAITS.attach_shard(shard)
-            with self._latch.shared():
-                plan, names = self._cached_plan(sql, statement, shard)
-                ctx = ExecContext(
-                    tuple(params), self.profile, self.registry, self.catalog,
-                    shard, guard, self._snapshot_for(session),
-                )
-                try:
-                    rows = self._collect(plan, ctx)
-                finally:
-                    self._merge_stats(shard)
-            return ResultSet(names, rows)
-        # any non-SELECT may change schema or data layout: flush plans
-        with self._latch.exclusive():
-            with self._cache_lock:
-                self._plan_cache.clear()
-            return self.execute_statement(
-                statement, params, guard=guard, session=session
-            )
 
     def _parse_statement(self, sql: str) -> ast.Statement:
         """LRU-cached parse of one SQL text."""
@@ -426,152 +474,6 @@ class Database:
                 "queries stopped by the row/byte memory budget",
             ).inc()
 
-    def _execute_observed(
-        self,
-        sql: str,
-        statement: ast.Statement,
-        params: Sequence[Any],
-        guard: Optional[ExecutionGuard],
-        session: Session,
-    ) -> ResultSet:
-        """The instrumented twin of :meth:`_execute_plain`.
-
-        Runs whenever any observability feature is on: fires hooks,
-        times the statement, reads per-statement engine-counter deltas
-        off the statement's private Stats shard, and — when span capture
-        is wanted — plans SELECTs afresh under a
-        :class:`~repro.sql.executor.SpanNode` tree (span wrapping mutates
-        the plan, so cached plans are never traced).
-        """
-        import time as _time
-
-        obs = self.obs
-        store = obs.statements
-        record_stmt = store.enabled
-        params_tuple = tuple(params)
-        if obs.hooks.query_start:
-            obs.hooks.fire_query_start(sql, params_tuple)
-        shard = Stats()
-        if WAITS.enabled:
-            WAITS.attach_shard(shard)
-        # per-thread wait totals before the statement: the after/before
-        # delta is this statement's per-wait-class time attribution
-        waits_before = (
-            {e: t[1] for e, t in WAITS.state().totals.items()}
-            if record_stmt and WAITS.enabled else None
-        )
-        started_at = _time.time()
-        start = _time.perf_counter()
-        root = None
-        result: Optional[ResultSet] = None
-        outcome = "ok"
-        try:
-            try:
-                if isinstance(statement, ast.Select) and obs.capture_spans:
-                    with self._latch.shared():
-                        plan, names = self._planner.plan_select(statement)
-                        if record_stmt:
-                            store.record_plan(sql, plan)
-                        on_close = (
-                            obs.hooks.fire_operator_close
-                            if obs.hooks.operator_close else None
-                        )
-                        wrapped = SpanNode(plan, on_close)
-                        ctx = ExecContext(
-                            params_tuple, self.profile, self.registry,
-                            self.catalog, shard, guard,
-                            self._snapshot_for(session),
-                        )
-                        result = ResultSet(names, self._collect(wrapped, ctx))
-                        root = wrapped.span
-                elif isinstance(statement, ast.Select):
-                    with self._latch.shared():
-                        plan, names = self._cached_plan(sql, statement, shard)
-                        if record_stmt:
-                            store.record_plan(sql, plan)
-                        ctx = ExecContext(
-                            params_tuple, self.profile, self.registry,
-                            self.catalog, shard, guard,
-                            self._snapshot_for(session),
-                        )
-                        result = ResultSet(names, self._collect(plan, ctx))
-                else:
-                    with self._latch.exclusive():
-                        with self._cache_lock:
-                            self._plan_cache.clear()
-                        result = self._dispatch_statement(
-                            statement, params_tuple, guard, session, shard
-                        )
-            finally:
-                self._merge_stats(shard)
-        except SerializationError:
-            outcome = "abort"
-            raise
-        except QueryTimeoutError:
-            outcome = "timeout"
-            raise
-        except ReproError:
-            outcome = "error"
-            raise
-        finally:
-            if record_stmt:
-                if result is None and outcome == "ok":
-                    outcome = "error"
-                wait_deltas = None
-                if waits_before is not None:
-                    wait_deltas = {}
-                    for event, totals in WAITS.state().totals.items():
-                        delta = totals[1] - waits_before.get(event, 0.0)
-                        if delta > 0.0:
-                            cls = event.split(":", 1)[0]
-                            wait_deltas[cls] = (
-                                wait_deltas.get(cls, 0.0) + delta
-                            )
-                store.record(
-                    sql,
-                    _time.perf_counter() - start,
-                    result.rowcount if result is not None else 0,
-                    counters={
-                        key: value
-                        for key, value in shard.snapshot().items()
-                        if value
-                    },
-                    outcome=outcome,
-                    wait_class_seconds=wait_deltas,
-                )
-        elapsed = _time.perf_counter() - start
-        trace = Trace(
-            sql=sql,
-            engine=self.profile.name,
-            statement=type(statement).__name__,
-            seconds=elapsed,
-            started_at=started_at,
-            rows=result.rowcount,
-            counters={
-                key: value
-                for key, value in shard.snapshot().items()
-                if value
-            },
-            root=root,
-        )
-        obs.record(trace)
-        return result
-
-    def execute_statement(
-        self, statement: ast.Statement, params: Sequence[Any] = (),
-        guard: Optional[ExecutionGuard] = None,
-        session: Optional[Session] = None,
-    ) -> ResultSet:
-        if session is None:
-            session = self._session
-        shard = Stats()
-        try:
-            return self._dispatch_statement(
-                statement, tuple(params), guard, session, shard
-            )
-        finally:
-            self._merge_stats(shard)
-
     def _dispatch_statement(
         self,
         statement: ast.Statement,
@@ -580,16 +482,8 @@ class Database:
         session: Session,
         shard: Stats,
     ) -> ResultSet:
-        if isinstance(statement, ast.Select):
-            ctx = ExecContext(
-                params, self.profile, self.registry, self.catalog,
-                shard, guard, self._snapshot_for(session),
-            )
-            return self._run_select(statement, ctx)
         if isinstance(statement, (ast.Insert, ast.Delete, ast.Update)):
             return self._run_dml(statement, params, guard, session, shard)
-        if isinstance(statement, (ast.Begin, ast.Commit, ast.Rollback)):
-            return self._run_txn_control(statement, session)
         if isinstance(statement, ast.CreateTable):
             return self._run_create_table(statement)
         if isinstance(statement, ast.CreateSpatialIndex):
@@ -780,64 +674,38 @@ class Database:
     def explain_analyze(self, sql: str, params: Sequence[Any] = ()) -> str:
         """Execute a SELECT and report per-operator rows and times.
 
-        Plans afresh (never from the cache — instrumentation rewires the
-        tree) and drains the full result before rendering, like
-        ``EXPLAIN ANALYZE`` in the DBMSes the paper benchmarks. Each
-        operator line shows actual rows, wall time and its exclusive
-        engine-counter deltas (``index_probes``, ``join_pairs_…``, …).
+        Runs the statement down the one execute path — cached plan
+        included — with span capture forced for this call, draining the
+        full result before rendering, like ``EXPLAIN ANALYZE`` in the
+        DBMSes the paper benchmarks. Each operator line shows actual
+        rows, wall time and its exclusive engine-counter deltas
+        (``index_probes``, ``join_pairs_…``, …); with the wait monitor
+        on, the waits the calling thread recorded follow.
         """
-        statement = parse(sql)
+        statement = self._parse_statement(sql)
         if not isinstance(statement, ast.Select):
             raise SqlPlanError("EXPLAIN ANALYZE supports SELECT statements only")
-        plan, _names = self._planner.plan_select(statement)
-        wrapped = SpanNode(plan)
-        shard = Stats()
-        waits_on = WAITS.enabled
-        waits_before = WAITS.summary() if waits_on else None
-        if waits_on:
-            WAITS.begin_statement(sql, self.profile.name, None,
-                                  self._session.session_id)
-            WAITS.attach_shard(shard)
-        import time as _time
-
-        started = _time.perf_counter()
-        try:
-            with self._latch.shared():
-                ctx = ExecContext(
-                    tuple(params), self.profile, self.registry, self.catalog,
-                    shard, None, self._snapshot_for(self._session),
-                )
-                try:
-                    emitted = sum(1 for _row in wrapped.rows(ctx))
-                finally:
-                    self._merge_stats(shard)
-        finally:
-            if waits_on:
-                WAITS.end_statement()
-        elapsed = _time.perf_counter() - started
-        lines = wrapped.explain()
-        lines.append(f"Total output rows: {emitted}")
-        if waits_on:
-            delta = summary_delta(waits_before, WAITS.summary())
+        _result, trace = self._execute(
+            sql, statement, params, None, self._session, capture=True
+        )
+        lines = trace.root.explain()
+        lines.append(f"Total output rows: {trace.rows}")
+        if trace.waits is not None:
             lines.append("Waits (this statement):")
-            if delta:
-                for event, entry in sorted(delta.items()):
-                    share = (
-                        100.0 * entry["seconds"] / elapsed if elapsed else 0.0
-                    )
-                    lines.append(
-                        f"  {event:<26s} count={entry['count']:<7d} "
-                        f"seconds={entry['seconds']:.6f} ({share:.1f}%)"
-                    )
-            else:
+            for event, entry in sorted(trace.waits.items()):
+                share = (
+                    100.0 * entry["seconds"] / trace.seconds
+                    if trace.seconds else 0.0
+                )
+                lines.append(
+                    f"  {event:<26s} count={entry['count']:<7d} "
+                    f"seconds={entry['seconds']:.6f} ({share:.1f}%)"
+                )
+            if not trace.waits:
                 lines.append("  (none recorded)")
         return "\n".join(lines)
 
     # -- statement runners -----------------------------------------------------
-
-    def _run_select(self, stmt: ast.Select, ctx: ExecContext) -> ResultSet:
-        plan, names = self._planner.plan_select(stmt)
-        return ResultSet(names, self._collect(plan, ctx))
 
     def _run_insert(
         self, stmt: ast.Insert, ctx: ExecContext,

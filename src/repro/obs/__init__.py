@@ -13,8 +13,10 @@ One :class:`Observability` object hangs off every
   ``on_operator_close`` callbacks.
 
 The whole subsystem is built to cost one attribute check per statement
-when nothing is enabled: :attr:`active` is a plain precomputed bool, and
-the engine's fast path is byte-for-byte the untraced one.
+when nothing is enabled: :attr:`active` is a plain precomputed bool. The
+engine runs one statement path either way — observed statements still
+run their cached plan (a span-wrapped copy of it when tracing) and end
+by handing a :class:`Trace` to :meth:`Observability.record`.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class Observability:
         self._metrics_enabled = False
         self._slow_query_threshold: Optional[float] = None
         #: per-fingerprint statement/plan aggregates (pg_stat_statements
-        #: style); enabling it routes statements through the observed path
+        #: style); enabling it turns observation on for every statement
         self.statements = StatementStore()
         self.statements.on_flip = self._count_plan_flip
         #: the one flag the engine hot path reads; kept in sync by every
@@ -198,7 +200,26 @@ class Observability:
         )
 
     def record(self, trace: Trace) -> None:
-        """File one finished statement: traces, slow log, metrics, hooks."""
+        """File one finished statement. Every outcome reaches the
+        statement store; only a successful one becomes the last trace,
+        enters the slow log and the metrics, and fires ``query_end``."""
+        store = self.statements
+        if store.enabled:
+            if trace.plan is not None:
+                store.record_plan(trace.sql, trace.plan)
+            store.record(
+                trace.sql,
+                trace.seconds,
+                trace.rows,
+                counters=trace.counters,
+                outcome=trace.outcome,
+                wait_class_seconds=(
+                    WaitAttribution(trace.waits, trace.seconds)
+                    .class_seconds() if trace.waits else None
+                ),
+            )
+        if trace.outcome != "ok":
+            return
         if self._tracing:
             self.last_trace = trace
         threshold = self._slow_query_threshold

@@ -86,6 +86,22 @@ class Span:
         for child in self.children:
             yield from child.walk(depth + 1)
 
+    def explain(self) -> List[str]:
+        """Indented per-operator lines — detail, rows, time and exclusive
+        counters — as ``EXPLAIN ANALYZE`` prints them."""
+        lines = []
+        for depth, span in self.walk():
+            extras = "".join(
+                f", {key}={value}"
+                for key, value in sorted(span.exclusive_counters().items())
+            )
+            lines.append(
+                "  " * depth
+                + f"{span.detail}  (rows={span.rows}, "
+                f"time={span.seconds * 1e3:.2f}ms{extras})"
+            )
+        return lines
+
     def total_spans(self) -> int:
         return sum(1 for _ in self.walk())
 

@@ -15,8 +15,9 @@ are judged against.
 
 The store follows the engine's one-bool discipline: :attr:`StatementStore.
 enabled` is the only thing the hot path reads, and the store is only
-consulted from :meth:`Database._execute_observed` (enabling statements
-flips ``obs.active``), so the plain execution path never sees it.
+fed by :meth:`Observability.record` at the end of an observed statement
+(enabling statements flips ``obs.active``), so unobserved statements
+never see it.
 
 Everything here is surfaced three ways: the ``jackpine_statements`` /
 ``jackpine_plans`` system views (:mod:`repro.engines.sysviews`),

@@ -32,6 +32,9 @@ class Trace:
         "rows",
         "counters",
         "root",
+        "outcome",
+        "waits",
+        "plan",
     )
 
     def __init__(
@@ -44,6 +47,9 @@ class Trace:
         rows: int,
         counters: Dict[str, int],
         root: Optional[Span] = None,
+        outcome: str = "ok",
+        waits: Optional[Dict[str, Dict[str, float]]] = None,
+        plan: Any = None,
     ):
         self.sql = sql
         self.engine = engine
@@ -57,6 +63,14 @@ class Trace:
         self.counters = counters
         #: operator span tree (``None`` for untraced / non-SELECT runs)
         self.root = root
+        #: ``ok`` / ``abort`` / ``timeout`` / ``error``
+        self.outcome = outcome
+        #: per-event ``{count, seconds}`` the executing thread waited
+        #: during the statement (``None`` when the wait monitor is off)
+        self.waits = waits
+        #: the cached plan a SELECT ran (``None`` for other statements),
+        #: which the statement store fingerprints
+        self.plan = plan
 
     # -- convenience -------------------------------------------------------
 
@@ -212,14 +226,5 @@ class Trace:
             f"{self.seconds * 1e3:.2f}ms, {self.rows} rows"
         ]
         if self.root is not None:
-            for depth, span in self.root.walk():
-                extras = "".join(
-                    f", {k}={v}"
-                    for k, v in sorted(span.exclusive_counters().items())
-                )
-                lines.append(
-                    "  " * depth
-                    + f"{span.detail}  (rows={span.rows}, "
-                    f"time={span.seconds * 1e3:.2f}ms{extras})"
-                )
+            lines.extend(self.root.explain())
         return "\n".join(lines)

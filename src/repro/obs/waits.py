@@ -424,6 +424,15 @@ class WaitMonitor:
             out[event] = entry
         return out
 
+    def thread_summary(self) -> Dict[str, Dict[str, float]]:
+        """The calling thread's per-event ``{count, seconds}`` totals —
+        diff two with :func:`summary_delta` for one statement's waits
+        without charging it what other threads waited meanwhile."""
+        return {
+            event: {"count": int(count), "seconds": seconds}
+            for event, (count, seconds) in self.state().totals.items()
+        }
+
     def records(self) -> List[WaitRecord]:
         """Every buffered record across threads, oldest first per thread."""
         out: List[WaitRecord] = []

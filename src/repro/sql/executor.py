@@ -9,6 +9,7 @@ generator — the executor is a plain Volcano-style iterator model.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 import time
@@ -490,9 +491,14 @@ class SpanNode(PlanNode):
     *inclusive* delta of the engine counters over the operator's
     lifetime (children included; exclusive figures are derived from the
     span tree). This is the machinery behind ``EXPLAIN ANALYZE``,
-    ``Database.last_trace()`` and the trace exporters. Wrapping mutates
-    the inner tree's child pointers, so traced executions always plan
-    afresh rather than reusing a cached plan.
+    ``Database.last_trace()`` and the trace exporters.
+
+    Wrapping is copy-on-trace: each wrapper runs a shallow copy of its
+    node whose ``child``/``outer``/``inner`` pointers are re-aimed at the
+    child wrappers, so the wrapped plan — usually the shared, cached one
+    — is never mutated. This holds because plan nodes keep no
+    per-execution state and keep every child pointer in those three
+    attributes.
     """
 
     __slots__ = ("inner", "span", "_children", "_on_close")
@@ -500,10 +506,14 @@ class SpanNode(PlanNode):
     def __init__(self, inner: PlanNode, on_close=None):
         from repro.obs.span import Span
 
-        self.inner = inner
+        node = copy.copy(inner)
+        for attr in ("child", "outer", "inner"):
+            original = getattr(node, attr, None)
+            if isinstance(original, PlanNode):
+                setattr(node, attr, SpanNode(original, on_close))
+        self.inner = node
         self._on_close = on_close
-        self._children = [SpanNode(c, on_close) for c in inner.children()]
-        _graft_children(self.inner, self._children)
+        self._children = node.children()
         self.span = Span(
             type(inner).__name__,
             inner.describe(),
@@ -511,9 +521,7 @@ class SpanNode(PlanNode):
         )
 
     def rows(self, ctx: ExecContext) -> Iterator[Row]:
-        import time as _time
-
-        perf_counter = _time.perf_counter
+        perf_counter = time.perf_counter
         span = self.span
         stats = ctx.stats
         start = perf_counter()
@@ -538,30 +546,8 @@ class SpanNode(PlanNode):
             if self._on_close is not None:
                 self._on_close(span)
 
-    def describe(self) -> str:
-        span = self.span
-        extras = "".join(
-            f", {key}={value}"
-            for key, value in sorted(span.exclusive_counters().items())
-        )
-        return (
-            f"{span.detail}  "
-            f"(rows={span.rows}, time={span.seconds * 1e3:.2f}ms{extras})"
-        )
-
     def children(self) -> Sequence[PlanNode]:
         return self._children
-
-
-def _graft_children(node: PlanNode, wrapped: List["SpanNode"]) -> None:
-    """Point a node's child references at the instrumented wrappers."""
-    originals = list(node.children())
-    for attr in ("child", "outer", "inner"):
-        if hasattr(node, attr):
-            current = getattr(node, attr)
-            for original, wrapper in zip(originals, wrapped):
-                if current is original:
-                    setattr(node, attr, wrapper)
 
 
 class OneRow(PlanNode):

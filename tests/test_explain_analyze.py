@@ -1,9 +1,12 @@
 """Tests for EXPLAIN and EXPLAIN ANALYZE plan reporting."""
 
+import threading
+
 import pytest
 
 from repro.engines import Database
 from repro.errors import SqlPlanError
+from repro.obs.waits import CLIENT_BACKOFF, WAITS
 
 
 @pytest.fixture
@@ -67,3 +70,40 @@ class TestExplainAnalyze:
         assert "IndexNestedLoopJoin" in text
         assert "Aggregate" in text
         assert "Total output rows: 1" in text
+
+
+class TestExplainAnalyzeWaits:
+    @pytest.fixture
+    def waits(self):
+        WAITS.enable()
+        WAITS.reset()
+        yield WAITS
+        WAITS.disable()
+        WAITS.reset()
+
+    def test_other_threads_waits_not_charged(self, db, waits):
+        """A wait another thread records while the statement runs belongs
+        to that thread, not to this statement's "Waits" section."""
+        def other_thread_waits(value):
+            worker = threading.Thread(
+                target=waits.record, args=(CLIENT_BACKOFF, 0.25)
+            )
+            worker.start()
+            worker.join()
+            return value
+
+        db.registry.register("other_thread_waits", other_thread_waits)
+        text = db.explain_analyze(
+            "SELECT other_thread_waits(id) FROM pts WHERE id < 3"
+        )
+        assert waits.summary()[CLIENT_BACKOFF]["count"] == 3
+        assert "Waits (this statement):" in text
+        assert CLIENT_BACKOFF not in text
+
+    def test_own_waits_reported(self, db, waits):
+        db.registry.register(
+            "own_wait", lambda v: waits.record(CLIENT_BACKOFF, 0.25) or v
+        )
+        text = db.explain_analyze("SELECT own_wait(id) FROM pts WHERE id < 2")
+        assert f"{CLIENT_BACKOFF}" in text
+        assert "count=2" in text
