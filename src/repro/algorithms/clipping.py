@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms.location import Location, locate
+from repro.algorithms.location import Location, locator
 from repro.algorithms.measures import area as geom_area
 from repro.algorithms.predicates import segment_intersection
 from repro.errors import TopologyError
@@ -199,6 +199,9 @@ def overlay(
     segs_a = _boundary_segments(a)
     segs_b = _boundary_segments(b)
     pieces_a, pieces_b, crossings = _split_segments(segs_a, segs_b)
+    # each operand is located once per split piece of the other
+    locate_a = locator(a)
+    locate_b = locator(b)
 
     coincident: Dict[tuple, _Piece] = {}
     for piece in pieces_a:
@@ -208,7 +211,7 @@ def overlay(
     shared_line_pieces: List[Tuple[Coord, Coord]] = []
 
     for piece in pieces_a:
-        where = locate(piece.mid, b)
+        where = locate_b(piece.mid)
         if where is _INT:
             left_b = right_b = True
         elif where is _EXT:
@@ -216,7 +219,7 @@ def overlay(
         else:
             twin = _find_twin(piece, pieces_b)
             if twin is None:
-                left_b, right_b = _probe_sides(piece, b)
+                left_b, right_b = _probe_sides(piece, locate_b)
             else:
                 same_dir = _same_direction(piece, twin)
                 # twin's interior (B's) is on the twin's left
@@ -241,13 +244,13 @@ def overlay(
     for piece in pieces_b:
         if _edge_key(piece.start, piece.end) in twin_keys:
             continue  # handled (or deliberately dropped) via the A twin
-        where = locate(piece.mid, a)
+        where = locate_a(piece.mid)
         if where is _INT:
             left_a = right_a = True
         elif where is _EXT:
             left_a = right_a = False
         else:
-            left_a, right_a = _probe_sides(piece, a)
+            left_a, right_a = _probe_sides(piece, locate_a)
         left_in = boolean(left_a, True)
         right_in = boolean(right_a, False)
         if left_in != right_in:
@@ -274,10 +277,7 @@ def overlay(
             if k in seen or k in kept_nodes or k in line_nodes:
                 continue
             seen.add(k)
-            if (
-                locate(p, a) is not _EXT
-                and locate(p, b) is not _EXT
-            ):
+            if locate_a(p) is not _EXT and locate_b(p) is not _EXT:
                 touch_points.append(p)
         del line_keys
     return polygons, shared_line_pieces, touch_points
@@ -297,8 +297,11 @@ def _same_direction(p: _Piece, q: _Piece) -> bool:
     return dx1 * dx2 + dy1 * dy2 > 0.0
 
 
-def _probe_sides(piece: _Piece, other: Geometry) -> Tuple[bool, bool]:
-    """Numeric fallback: probe both sides of the piece against ``other``."""
+def _probe_sides(
+    piece: _Piece, locate_other: Callable[[Coord], Location]
+) -> Tuple[bool, bool]:
+    """Numeric fallback: probe both sides of the piece against the other
+    operand."""
     dx, dy = piece.end[0] - piece.start[0], piece.end[1] - piece.start[1]
     norm = math.hypot(dx, dy)
     eps = norm * 1e-4
@@ -306,8 +309,8 @@ def _probe_sides(piece: _Piece, other: Geometry) -> Tuple[bool, bool]:
     left = (piece.mid[0] + eps * ux, piece.mid[1] + eps * uy)
     right = (piece.mid[0] - eps * ux, piece.mid[1] - eps * uy)
     return (
-        locate(left, other) is _INT,
-        locate(right, other) is _INT,
+        locate_other(left) is _INT,
+        locate_other(right) is _INT,
     )
 
 

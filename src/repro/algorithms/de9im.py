@@ -23,10 +23,10 @@ interiors lie on the same side.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.algorithms.location import Location, locate
-from repro.algorithms.predicates import segment_intersection
+from repro.algorithms.location import Location, locate, prepared_locate
+from repro.algorithms.predicates import on_segment, segment_intersection
 from repro.geometry.base import Coord, Envelope, Geometry
 from repro.geometry.collection import GeometryCollection
 from repro.geometry.linestring import LineString, MultiLineString
@@ -119,11 +119,13 @@ Segment = Tuple[Coord, Coord]
 
 
 class _FeatureSet:
-    """Flattened, role-tagged features of one operand."""
+    """Flattened, role-tagged features of one operand, and the constants
+    every relate against it reuses (the prepared form of the geometry)."""
 
     __slots__ = (
         "geom", "points", "segments", "max_dim", "has_area",
-        "areal_members", "interior_reps",
+        "areal_members", "interior_reps", "boxes", "boundary",
+        "boundary_dim", "mixed", "_locator",
     )
 
     def __init__(self, geom: Geometry):
@@ -137,6 +139,26 @@ class _FeatureSet:
         self._collect(geom)
         self.max_dim = geom.dimension
         self.has_area = bool(self.areal_members)
+        # segment envelopes (min_x, min_y, max_x, max_y) for the gates
+        self.boxes: List[Tuple[float, float, float, float]] = [
+            (min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
+            for a, b, _role, _left in self.segments
+        ]
+        # the vertices on the operand's boundary, and its dimension (-1
+        # when empty)
+        self.boundary = {p for p, role in self.points if role is _BND}
+        if self.has_area:
+            self.boundary_dim = 1
+        elif self.boundary:
+            self.boundary_dim = 0
+        else:
+            self.boundary_dim = -1
+        # areal members mixed with lower-dimensional ones?
+        self.mixed = self.has_area and (
+            any(role is _INT for _, role in self.points)
+            or any(role is _INT for _a, _b, role, _l in self.segments)
+        )
+        self._locator: Optional[Callable[[Coord], Location]] = None
 
     def _collect(self, geom: Geometry) -> None:
         if isinstance(geom, Point):
@@ -164,11 +186,11 @@ class _FeatureSet:
     def _collect_line(self, line, boundary_pts, boundary_set=None) -> None:
         if boundary_set is None:
             boundary_set = {p.coord for p in boundary_pts}
-        for coord in (line.coords[0], line.coords[-1]):
+        # a vertex repeating a boundary point (say the end vertex doubled)
+        # is that boundary point, wherever it sits in the coordinate list
+        for coord in (line.coords[0], line.coords[-1], *line.coords[1:-1]):
             role = _BND if coord in boundary_set else _INT
             self.points.append((coord, role))
-        for coord in line.coords[1:-1]:
-            self.points.append((coord, _INT))
         for a, b in line.segments():
             self.segments.append((a, b, _INT, False))
 
@@ -186,8 +208,17 @@ class _FeatureSet:
                     # always to the left of the directed ring segment
                     self.segments.append((a, b, _BND, True))
 
+    @property
+    def locator(self) -> Callable[[Coord], Location]:
+        """Edge-indexed point location, built on the first locate."""
+        if self._locator is None:
+            self._locator = prepared_locate(self.geom)
+        return self._locator
+
     def locate_areal(self, p: Coord) -> Location:
         """Locate against the areal members only (used by rep-point evidence)."""
+        if isinstance(self.geom, (Polygon, MultiPolygon)):
+            return self.locator(p)
         best = _EXT
         for member in self.areal_members:
             where = locate(p, member)
@@ -207,15 +238,6 @@ def _features_of(geom: Geometry) -> "_FeatureSet":
     return cached
 
 
-def _boundary_dim(feats: _FeatureSet) -> int:
-    """Dimension of the operand's boundary (-1 when empty)."""
-    if feats.has_area:
-        return 1
-    if any(role is _BND for _, role in feats.points):
-        return 0
-    return -1
-
-
 def _segment_grid(
     segments: Sequence[Tuple[Coord, Coord, Location, bool]], cell: float
 ) -> Dict[Tuple[int, int], List[int]]:
@@ -231,34 +253,64 @@ def _segment_grid(
     return grid
 
 
-def _candidate_pairs(
-    segs_a: Sequence[Tuple[Coord, Coord, Location, bool]],
-    segs_b: Sequence[Tuple[Coord, Coord, Location, bool]],
-) -> Iterable[Tuple[int, int]]:
-    """Index-accelerated candidate segment pairs (envelope overlap)."""
-    if len(segs_a) * len(segs_b) <= 4096:
-        for i in range(len(segs_a)):
-            for j in range(len(segs_b)):
-                yield (i, j)
+def _candidate_pairs(fa: _FeatureSet, fb: _FeatureSet) -> Iterable[Tuple[int, int]]:
+    """Candidate segment pairs: envelopes meeting within the gate pad.
+
+    A pair apart by more than the pad is one ``segment_intersection``
+    rejects without an orientation, so dropping it here changes no answer.
+    Small products pair every segment of ``fa`` near ``fb``'s envelope with
+    every one of ``fb`` near ``fa``'s; larger ones bucket ``fb`` on a grid.
+    """
+    # GATE_REL * max(|coord|, 1) over both operands: never below the pad
+    # segment_intersection applies to any one pair
+    env_a, env_b = fa.geom.envelope, fb.geom.envelope
+    pad = max(env_a.tolerance(), env_b.tolerance())
+    boxes_a, boxes_b = fa.boxes, fb.boxes
+    near_a = _near(boxes_a, env_b, pad)
+    if len(boxes_a) * len(boxes_b) <= 4096:
+        near_b = _near(boxes_b, env_a, pad)
+        for i, (ax0, ay0, ax1, ay1) in near_a:
+            ax0 -= pad
+            ay0 -= pad
+            ax1 += pad
+            ay1 += pad
+            for j, (bx0, by0, bx1, by1) in near_b:
+                if bx0 <= ax1 and ax0 <= bx1 and by0 <= ay1 and ay0 <= by1:
+                    yield (i, j)
         return
     # bucket the larger side on a uniform grid sized by its average extent
+    segs_b = fb.segments
     spans = []
     for a, b, _r, _l in segs_b:
         spans.append(max(abs(b[0] - a[0]), abs(b[1] - a[1])))
     cell = max(sum(spans) / len(spans), 1e-9) * 2.0
     grid = _segment_grid(segs_b, cell)
     seen_pair = set()
-    for i, (a, b, _r, _l) in enumerate(segs_a):
-        x0, x1 = sorted((a[0], b[0]))
-        y0, y1 = sorted((a[1], b[1]))
-        for gx in range(int(math.floor(x0 / cell)), int(math.floor(x1 / cell)) + 1):
+    for i, (ax0, ay0, ax1, ay1) in near_a:
+        for gx in range(int(math.floor(ax0 / cell)), int(math.floor(ax1 / cell)) + 1):
             for gy in range(
-                int(math.floor(y0 / cell)), int(math.floor(y1 / cell)) + 1
+                int(math.floor(ay0 / cell)), int(math.floor(ay1 / cell)) + 1
             ):
                 for j in grid.get((gx, gy), ()):
-                    if (i, j) not in seen_pair:
-                        seen_pair.add((i, j))
+                    if (i, j) in seen_pair:
+                        continue
+                    seen_pair.add((i, j))
+                    bx0, by0, bx1, by1 = boxes_b[j]
+                    if (bx0 <= ax1 + pad and ax0 - pad <= bx1
+                            and by0 <= ay1 + pad and ay0 - pad <= by1):
                         yield (i, j)
+
+
+def _near(
+    boxes: Sequence[Tuple[float, float, float, float]], env: Envelope, pad: float
+) -> List[Tuple[int, Tuple[float, float, float, float]]]:
+    """The indexed boxes that come within ``pad`` of ``env``."""
+    x0, y0 = env.min_x - pad, env.min_y - pad
+    x1, y1 = env.max_x + pad, env.max_y + pad
+    return [
+        (i, box) for i, box in enumerate(boxes)
+        if box[0] <= x1 and x0 <= box[2] and box[1] <= y1 and y0 <= box[3]
+    ]
 
 
 def _seg_point_param(a: Coord, b: Coord, p: Coord) -> float:
@@ -284,24 +336,15 @@ def _open_class(where: Location, feats: _FeatureSet) -> bool:
     """Is the located class an open 2-D set for this operand?"""
     if where is _EXT:
         return True
-    return where is _INT and feats.max_dim == 2 and not _is_mixed(feats)
-
-
-def _is_mixed(feats: _FeatureSet) -> bool:
-    """Does the operand mix areal members with lower-dimensional ones?"""
-    if not feats.has_area:
-        return False
-    return bool(feats.points and any(r is _INT for _, r in feats.points)) or any(
-        role is _INT for _a, _b, role, _l in feats.segments
-    )
+    return where is _INT and feats.max_dim == 2 and not feats.mixed
 
 
 def _disjoint_matrix(fa: _FeatureSet, fb: _FeatureSet) -> DE9IM:
     m = _Matrix()
     m.bump(_INT, _EXT, fa.max_dim)
-    m.bump(_BND, _EXT, _boundary_dim(fa))
+    m.bump(_BND, _EXT, fa.boundary_dim)
     m.bump(_EXT, _INT, fb.max_dim)
-    m.bump(_EXT, _BND, _boundary_dim(fb))
+    m.bump(_EXT, _BND, fb.boundary_dim)
     m.bump(_EXT, _EXT, 2)
     return m.freeze()
 
@@ -315,10 +358,10 @@ def relate(a: Geometry, b: Geometry) -> DE9IM:
         m.bump(_EXT, _EXT, 2)
         if not a.is_empty:
             m.bump(_INT, _EXT, fa.max_dim)
-            m.bump(_BND, _EXT, _boundary_dim(fa))
+            m.bump(_BND, _EXT, fa.boundary_dim)
         if not b.is_empty:
             m.bump(_EXT, _INT, fb.max_dim)
-            m.bump(_EXT, _BND, _boundary_dim(fb))
+            m.bump(_EXT, _BND, fb.boundary_dim)
         return m.freeze()
     if not a.envelope.intersects(b.envelope):
         return _disjoint_matrix(fa, fb)
@@ -344,11 +387,9 @@ def relate(a: Geometry, b: Geometry) -> DE9IM:
     # areal boundary) unless it coincides with a boundary vertex. Calling
     # ``locate`` here would be both slower and fragile — the computed
     # point carries eps*|coord| error that can defeat on-segment tests.
-    boundary_a = {p for p, role in fa.points if role is _BND}
-    boundary_b = {p for p, role in fb.points if role is _BND}
     splits_a: Dict[int, List[Coord]] = {}
     splits_b: Dict[int, List[Coord]] = {}
-    for i, j in _candidate_pairs(fa.segments, fb.segments):
+    for i, j in _candidate_pairs(fa, fb):
         sa = fa.segments[i]
         sb = fb.segments[j]
         hit = segment_intersection(sa[0], sa[1], sb[0], sb[1])
@@ -361,18 +402,14 @@ def relate(a: Geometry, b: Geometry) -> DE9IM:
         for p in points:
             splits_a.setdefault(i, []).append(p)
             splits_b.setdefault(j, []).append(p)
-            loc_a = _BND if p in boundary_a else sa[2]
-            loc_b = _BND if p in boundary_b else sb[2]
+            loc_a = _BND if p in fa.boundary else sa[2]
+            loc_b = _BND if p in fb.boundary else sb[2]
             m.bump(loc_a, loc_b, 0)
-    # isolated points of one operand can split the other's segments too
-    for j, (c, d, _role, _left) in enumerate(fb.segments):
-        for p, _loc in fa.points:
-            if _between_env(p, c, d) and _on(p, c, d):
-                splits_b.setdefault(j, []).append(p)
-    for i, (c, d, _role, _left) in enumerate(fa.segments):
-        for p, _loc in fb.points:
-            if _between_env(p, c, d) and _on(p, c, d):
-                splits_a.setdefault(i, []).append(p)
+    # isolated points of one operand can split the other's segments too;
+    # only points within the other operand's envelope widened by the
+    # scan's own 1e-9 pad can lie on one of its segments
+    _split_at_points(fb.segments, _points_near(fa, b.envelope), splits_b)
+    _split_at_points(fa.segments, _points_near(fb, a.envelope), splits_a)
 
     # --- 1-dimensional evidence: classified split pieces -------------------
     _sample_pieces(m, fa, fb, splits_a, transposed=False)
@@ -397,10 +434,23 @@ def relate(a: Geometry, b: Geometry) -> DE9IM:
     return m.freeze()
 
 
-def _on(p: Coord, c: Coord, d: Coord) -> bool:
-    from repro.algorithms.predicates import on_segment
+def _points_near(feats: _FeatureSet, env: Envelope) -> List[Coord]:
+    x0, y0 = env.min_x - 1e-9, env.min_y - 1e-9
+    x1, y1 = env.max_x + 1e-9, env.max_y + 1e-9
+    return [p for p, _loc in feats.points if x0 <= p[0] <= x1 and y0 <= p[1] <= y1]
 
-    return on_segment(p, c, d)
+
+def _split_at_points(
+    segments: Sequence[Tuple[Coord, Coord, Location, bool]],
+    points: Sequence[Coord],
+    splits: Dict[int, List[Coord]],
+) -> None:
+    if not points:
+        return
+    for j, (c, d, _role, _left) in enumerate(segments):
+        for p in points:
+            if _between_env(p, c, d) and on_segment(p, c, d):
+                splits.setdefault(j, []).append(p)
 
 
 def _between_env(p: Coord, c: Coord, d: Coord) -> bool:
@@ -515,7 +565,7 @@ def intersects(a: Geometry, b: Geometry) -> bool:
     for p, _loc in fb.points:
         if env_a.contains_point(*p) and locate(p, a) is not _EXT:
             return True
-    for i, j in _candidate_pairs(fa.segments, fb.segments):
+    for i, j in _candidate_pairs(fa, fb):
         sa = fa.segments[i]
         sb = fb.segments[j]
         if segment_intersection(sa[0], sa[1], sb[0], sb[1]) is not None:

@@ -49,21 +49,51 @@ def collinear(a: Coord, b: Coord, c: Coord) -> bool:
 
 
 def on_segment(p: Coord, a: Coord, b: Coord) -> bool:
-    """True iff point ``p`` lies on the closed segment ``ab``."""
-    if orientation(a, b, p) != 0:
+    """True iff point ``p`` lies on the closed segment ``ab``.
+
+    The padded bounding-box test runs before the orientation: both must
+    hold, so the order changes no answer, and the box rejects almost every
+    edge a point-location walk offers for a fraction of the cost.
+    """
+    ax, ay = a
+    bx, by = b
+    eps = _REL_EPS * max(abs(ax), abs(ay), abs(bx), abs(by), 1.0)
+    px, py = p
+    if ax <= bx:
+        if px < ax - eps or px > bx + eps:
+            return False
+    elif px < bx - eps or px > ax + eps:
         return False
-    return (
-        min(a[0], b[0]) - _abs_eps(a, b) <= p[0] <= max(a[0], b[0]) + _abs_eps(a, b)
-        and min(a[1], b[1]) - _abs_eps(a, b) <= p[1] <= max(a[1], b[1]) + _abs_eps(a, b)
-    )
-
-
-def _abs_eps(a: Coord, b: Coord) -> float:
-    scale = max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]), 1.0)
-    return _REL_EPS * scale
+    if ay <= by:
+        if py < ay - eps or py > by + eps:
+            return False
+    elif py < by - eps or py > ay + eps:
+        return False
+    return orientation(a, b, p) == 0
 
 
 SegmentIntersection = Union[None, Coord, Tuple[Coord, Coord]]
+
+#: Relative pad of the envelope gates in front of the orientation tests:
+#: three orders above the widest collinearity band ``orientation`` admits
+#: (~6e-12 * |coord|), so a pair the gate rejects is one no orientation
+#: sign could make touch. It equals ``Envelope.tolerance``'s 1e-9, which
+#: the segment-pair and point-location indexes pad with.
+GATE_REL = 1e-9
+
+
+def _envelopes_apart(a: Coord, b: Coord, c: Coord, d: Coord) -> bool:
+    """Are the envelopes of ab and cd apart by more than the gate pad?"""
+    gap = max(min(c[0], d[0]) - max(a[0], b[0]),
+              min(a[0], b[0]) - max(c[0], d[0]),
+              min(c[1], d[1]) - max(a[1], b[1]),
+              min(a[1], b[1]) - max(c[1], d[1]))
+    if gap <= 0.0:
+        return False
+    return gap > GATE_REL * max(
+        abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]),
+        abs(c[0]), abs(c[1]), abs(d[0]), abs(d[1]), 1.0,
+    )
 
 
 def segment_intersection(
@@ -74,7 +104,16 @@ def segment_intersection(
     Returns ``None`` (disjoint), a single coordinate (point intersection,
     including endpoint touches), or a coordinate pair (collinear overlap,
     ordered along the shared line).
+
+    Segments whose envelopes are apart by more than ``GATE_REL *
+    max(|coord|, 1)`` cannot meet and are rejected before any orientation:
+    a crossing lies in both envelopes, and a touch or a collinear overlap
+    end within the orientation filter's collinearity band (at most ~6e-12 *
+    |coord|) of both. The gate also drops the point the straddle fallback
+    below would clamp onto ab for nearly parallel segments that are apart.
     """
+    if _envelopes_apart(a, b, c, d):
+        return None
     o1 = orientation(a, b, c)
     o2 = orientation(a, b, d)
     o3 = orientation(c, d, a)

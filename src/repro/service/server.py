@@ -352,7 +352,17 @@ class JackpineServer:
 
     async def _send(self, writer, response: Dict[str, Any]) -> float:
         response.pop("_close", None)
-        writer.write(encode_frame(response))
+        try:
+            frame = encode_frame(response)
+        except ServiceProtocolError as exc:
+            # the response outgrew MAX_FRAME: answer the same request with
+            # a typed error instead; the stream stays in sync, so the
+            # connection (and any pinned transaction) remains usable
+            frame = encode_frame({
+                "ok": False, "id": response.get("id"),
+                "error": error_payload("protocol", str(exc)),
+            })
+        writer.write(frame)
         start = time.perf_counter()
         await writer.drain()
         seconds = time.perf_counter() - start

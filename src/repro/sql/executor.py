@@ -208,26 +208,27 @@ def referenced_aliases(expr: ast.Expr, scope: Scope) -> set:
     return found
 
 
-def contains_aggregate(expr: ast.Expr) -> bool:
+def subexpressions(expr: ast.Expr) -> Sequence[ast.Expr]:
+    """The direct operands of an expression node."""
     if isinstance(expr, ast.FuncCall):
-        if is_aggregate_call(expr):
-            return True
-        return any(contains_aggregate(a) for a in expr.args)
+        return expr.args
     if isinstance(expr, ast.BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
+        return (expr.left, expr.right)
     if isinstance(expr, ast.UnaryOp):
-        return contains_aggregate(expr.operand)
+        return (expr.operand,)
     if isinstance(expr, ast.Between):
-        return any(
-            contains_aggregate(e) for e in (expr.value, expr.low, expr.high)
-        )
+        return (expr.value, expr.low, expr.high)
     if isinstance(expr, ast.InList):
-        return contains_aggregate(expr.value) or any(
-            contains_aggregate(o) for o in expr.options
-        )
+        return (expr.value, *expr.options)
     if isinstance(expr, ast.IsNull):
-        return contains_aggregate(expr.value)
-    return False
+        return (expr.value,)
+    return ()
+
+
+def contains_aggregate(expr: ast.Expr) -> bool:
+    if isinstance(expr, ast.FuncCall) and is_aggregate_call(expr):
+        return True
+    return any(contains_aggregate(e) for e in subexpressions(expr))
 
 
 def is_aggregate_call(expr: ast.FuncCall) -> bool:
@@ -368,7 +369,15 @@ class Compiler:
         left = self.compile(expr.left)
         right = self.compile(expr.right)
         if op == "and":
-            return lambda row, ctx: _and3(left(row, ctx), right(row, ctx))
+            # short-circuit: a False left operand decides the conjunction,
+            # so the planner's cheap-first order skips the costly right side
+            def and_(row: Row, ctx: ExecContext) -> Optional[bool]:
+                a = left(row, ctx)
+                if a is False:
+                    return False
+                return _and3(a, right(row, ctx))
+
+            return and_
         if op == "or":
             return lambda row, ctx: _or3(left(row, ctx), right(row, ctx))
         if op == "like":
@@ -983,8 +992,9 @@ class SpatialTreeJoin(PlanNode):
     ``SpatialIndex.join`` (a lockstep descent of both trees), so neither
     side is re-probed per row. The spatial predicate is refined directly
     through the engine profile — preserving exact / MBR-only / DE-9IM
-    semantics — and any remaining join conjuncts run as a compiled
-    residual.
+    semantics. The remaining join conjuncts run as two compiled residuals:
+    ``cheap`` (no geometry function) before the refinement, so a pair it
+    rejects is never refined, and ``residual`` (the costly rest) after it.
     """
 
     def __init__(
@@ -995,6 +1005,7 @@ class SpatialTreeJoin(PlanNode):
         inner_table: Table,
         inner_alias: str,
         inner_entry: IndexEntry,
+        cheap: Optional[Evaluator],
         refine: Callable[[Any, Any, "ExecContext"], Optional[bool]],
         residual: Optional[Evaluator],
         label: str = "",
@@ -1005,6 +1016,7 @@ class SpatialTreeJoin(PlanNode):
         self.inner_table = inner_table
         self.inner_alias = inner_alias
         self.inner_entry = inner_entry
+        self.cheap = cheap
         self.refine = refine
         self.residual = residual
         self.label = label
@@ -1021,6 +1033,7 @@ class SpatialTreeJoin(PlanNode):
         inner_alias = self.inner_alias
         outer_geom = self._outer_geom
         inner_geom = self._inner_geom
+        cheap = self.cheap
         refine = self.refine
         residual = self.residual
         guard = ctx.guard
@@ -1056,11 +1069,13 @@ class SpatialTreeJoin(PlanNode):
                     inner_id, snapshot
                 ):
                     continue
+                merged = {outer_alias: outer_row, inner_alias: inner_row}
+                if cheap is not None and cheap(merged, ctx) is not True:
+                    continue
                 if refine(
                     outer_row[outer_geom], inner_row[inner_geom], ctx
                 ) is not True:
                     continue
-                merged = {outer_alias: outer_row, inner_alias: inner_row}
                 if residual is None or residual(merged, ctx) is True:
                     emitted += 1
                     yield merged
@@ -1085,7 +1100,9 @@ class PBSMJoin(PlanNode):
     joint extent, plane-sweeps within each cell, and deduplicates pairs
     replicated into several cells with the reference-point test (a pair
     counts only in the cell owning the top-left corner of its envelope
-    intersection). Needs no index on either side.
+    intersection). Needs no index on either side. Residual conjuncts run
+    as in :class:`SpatialTreeJoin`: ``cheap`` before the refinement,
+    ``residual`` after it.
     """
 
     #: aim for roughly this many items per grid cell
@@ -1098,6 +1115,7 @@ class PBSMJoin(PlanNode):
         inner: PlanNode,
         outer_geom: Evaluator,
         inner_geom: Evaluator,
+        cheap: Optional[Evaluator],
         refine: Callable[[Any, Any, "ExecContext"], Optional[bool]],
         residual: Optional[Evaluator],
         label: str = "",
@@ -1106,6 +1124,7 @@ class PBSMJoin(PlanNode):
         self.inner = inner
         self.outer_geom = outer_geom
         self.inner_geom = inner_geom
+        self.cheap = cheap
         self.refine = refine
         self.residual = residual
         self.label = label
@@ -1168,6 +1187,7 @@ class PBSMJoin(PlanNode):
 
         stats = ctx.stats
         stats.partitions_built += len(cells)
+        cheap = self.cheap
         refine = self.refine
         residual = self.residual
         guard = ctx.guard
@@ -1192,9 +1212,11 @@ class PBSMJoin(PlanNode):
                     if min(int((ry - min_y) / cell_h), last) != gy:
                         continue
                     considered += 1
+                    merged = {**row_a, **row_b}
+                    if cheap is not None and cheap(merged, ctx) is not True:
+                        continue
                     if refine(ga, gb, ctx) is not True:
                         continue
-                    merged = {**row_a, **row_b}
                     if residual is None or residual(merged, ctx) is True:
                         emitted += 1
                         yield merged

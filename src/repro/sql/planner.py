@@ -8,6 +8,12 @@ re-evaluating the original predicate on each candidate row (refinement
 step — whose cost and exactness differ per engine profile). Everything
 else runs as sequential scans, hash joins on equality conjuncts, or
 nested loops.
+
+Conjuncts are evaluated cheap first: a conjunct that calls no geometry
+function runs before one that does, so attribute tests reject a pair
+before DE-9IM refinement is paid for it. The partition is stable (written
+order holds within each class); as in PostgreSQL, SQL does not otherwise
+promise an evaluation order.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from repro.sql.executor import (
     contains_aggregate,
     is_aggregate_call,
     referenced_aliases,
+    subexpressions,
 )
 from repro.sql.functions import SPATIAL_PREDICATES, FunctionRegistry
 from repro.storage.catalog import Catalog
@@ -87,9 +94,29 @@ def split_conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
     return [expr]
 
 
+def is_costly(expr: ast.Expr) -> bool:
+    """Cost class of a conjunct: does it call a geometry function?
+
+    Spatial predicates, relate, overlay, distance (``<->``) and every other
+    ``ST_`` call are costly; comparisons of plain attributes (and the
+    envelope test ``&&``) are cheap.
+    """
+    if isinstance(expr, ast.FuncCall) and expr.name.startswith("st_"):
+        return True
+    if isinstance(expr, ast.BinaryOp) and expr.op == "<->":
+        return True
+    return any(is_costly(e) for e in subexpressions(expr))
+
+
+def cheap_first(conjuncts: Sequence[ast.Expr]) -> List[ast.Expr]:
+    """Stable partition: cheap conjuncts, then costly, each in written order."""
+    return sorted(conjuncts, key=is_costly)
+
+
 def conjoin(conjuncts: Sequence[ast.Expr]) -> Optional[ast.Expr]:
+    """AND the conjuncts together, cheap ones first (see :func:`cheap_first`)."""
     result: Optional[ast.Expr] = None
-    for c in conjuncts:
+    for c in cheap_first(conjuncts):
         result = c if result is None else ast.BinaryOp("and", result, c)
     return result
 
@@ -275,10 +302,9 @@ class Planner:
             plan = self._apply_bound_filters(
                 plan, scope, compiler, remaining, bound
             )
-        if remaining:
-            residual = conjoin(remaining)
-            assert residual is not None
-            plan = Filter(plan, compiler.compile(residual), "residual")
+        residual = self._compile_all(compiler, remaining)
+        if residual is not None:
+            plan = Filter(plan, residual, "residual")
         return plan
 
     def _apply_bound_filters(
@@ -292,10 +318,9 @@ class Planner:
         ready = [c for c in remaining if referenced_aliases(c, scope) <= bound]
         for c in ready:
             remaining.remove(c)
-        if ready:
-            combined = conjoin(ready)
-            assert combined is not None
-            plan = Filter(plan, compiler.compile(combined))
+        combined = self._compile_all(compiler, ready)
+        if combined is not None:
+            plan = Filter(plan, combined)
         return plan
 
     def _plan_base_table(
@@ -373,26 +398,24 @@ class Planner:
                 continue
             outer_key, inner_key = keys
             residual_list = [c for c in conjuncts if c is not conjunct]
-            residual = conjoin(residual_list)
             plan = HashJoin(
                 outer,
                 SeqScan(table, alias),
                 compiler.compile(outer_key),
                 compiler.compile(inner_key),
-                compiler.compile(residual) if residual is not None else None,
+                self._compile_all(compiler, residual_list),
                 label=f"{outer_key} = {inner_key}",
             )
             plan.est_rows = max(self._estimate_rows(outer), float(len(table)))
             return plan
 
-        condition = conjoin(conjuncts)
         plan = NestedLoopJoin(
             outer,
             SeqScan(table, alias),
-            compiler.compile(condition) if condition is not None else None,
+            self._compile_all(compiler, conjuncts),
         )
         product = self._estimate_rows(outer) * max(len(table), 1)
-        plan.est_rows = product if condition is None else max(1.0, product / 3.0)
+        plan.est_rows = product if not conjuncts else max(1.0, product / 3.0)
         return plan
 
     # -- cost-based spatial join selection ---------------------------------
@@ -504,17 +527,18 @@ class Planner:
 
         refine = self._make_refine(indexable)
         residual_list = [c for c in conjuncts if c is not indexable.conjunct]
-        residual = conjoin(residual_list)
-        residual_fn = (
-            compiler.compile(residual) if residual is not None else None
-        )
+        # cheap conjuncts run before the refinement, costly ones after it
+        cheap_fn = self._compile_all(
+            compiler, [c for c in residual_list if not is_costly(c)])
+        residual_fn = self._compile_all(
+            compiler, [c for c in residual_list if is_costly(c)])
         if choice == "tree":
             assert outer_entry is not None and inner_entry is not None
             assert outer_table is not None
             plan = SpatialTreeJoin(
                 outer_table, outer.alias, outer_entry,
                 table, alias, inner_entry,
-                refine, residual_fn, label=label,
+                cheap_fn, refine, residual_fn, label=label,
             )
             plan.est_rows = est
             return plan
@@ -527,6 +551,7 @@ class Planner:
             SeqScan(table, alias),
             compiler.compile(indexable.other),
             inner_geom_fn,
+            cheap_fn,
             refine,
             residual_fn,
             label=label,
@@ -559,13 +584,18 @@ class Planner:
                 radius_fn(row, ctx) if radius_fn else None,
             )
 
-        residual = conjoin(conjuncts)
-        residual_fn = (
-            compiler.compile(residual) if residual is not None else None
-        )
         return IndexNestedLoopJoin(
-            outer, table, alias, entry, probe, residual_fn, label=label
+            outer, table, alias, entry, probe,
+            self._compile_all(compiler, conjuncts), label=label,
         )
+
+    @staticmethod
+    def _compile_all(
+        compiler: Compiler, conjuncts: Sequence[ast.Expr]
+    ) -> Optional[Evaluator]:
+        """The compiled conjunction (cheap first), or None when empty."""
+        combined = conjoin(conjuncts)
+        return compiler.compile(combined) if combined is not None else None
 
     def _make_refine(
         self, indexable: _IndexableConjunct

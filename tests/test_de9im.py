@@ -170,6 +170,11 @@ class TestPointMatrices:
         line = LineString([(0, 0), (10, 0)])
         assert str(relate(Point(0, 0), line)) == "F0FFFF102"
 
+    def test_point_on_doubled_end_vertex_is_boundary(self):
+        # the end vertex repeated: still the line's boundary, not interior
+        line = LineString([(0, 0), (0, 2), (0, 2)])
+        assert str(relate(Point(0, 2), line)) == "F0FFFF102"
+
     def test_point_point_equal(self):
         assert str(relate(Point(1, 1), Point(1, 1))) == "0FFFFFFF2"
 

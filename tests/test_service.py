@@ -463,9 +463,11 @@ def test_server_sheds_when_queue_overflows(database):
         pool_size=1, max_queue=2, deadline=5.0,
     ))
     srv.start()
+    # ~0.2 s on one core: long enough that eight arrivals overflow a
+    # queue of two while the single worker is busy
     slow_sql = (
-        "SELECT COUNT(*) FROM edges e JOIN arealm a "
-        "ON ST_Intersects(e.geom, a.geom)"
+        "SELECT COUNT(*) FROM edges e JOIN edges f "
+        "ON ST_Touches(e.geom, f.geom)"
     )
     results = []
 
@@ -510,6 +512,43 @@ def test_server_protocol_error_gets_typed_response(server):
         assert response["error"]["code"] == "protocol"
     finally:
         sock.close()
+
+
+def test_oversized_response_gets_typed_error_and_connection_survives(
+    server, monkeypatch
+):
+    from repro.errors import ReproError
+    from repro.service import protocol
+    from repro.service.protocol import read_frame, write_frame
+
+    in_use_before = server.pool.stats()["in_use"]
+    monkeypatch.setattr(protocol, "MAX_FRAME", 4096)
+    big = "SELECT gid, geom FROM edges"
+    with ServiceClient(server.host, server.port) as client:
+        with pytest.raises(ReproError) as excinfo:
+            client.execute(big)
+        assert excinfo.value.code == "protocol"
+        assert "MAX_FRAME" in str(excinfo.value)
+        small = client.execute("SELECT COUNT(*) FROM pointlm")
+        assert small.rows[0][0] > 0, "the same connection still answers"
+    # the error frame echoes the request id on the raw wire too
+    sock = socket.create_connection((server.host, server.port), timeout=5)
+    try:
+        write_frame(sock, {"op": "query", "sql": big, "id": 77})
+        response = read_frame(sock)
+        assert response["id"] == 77 and not response["ok"]
+        assert response["error"]["code"] == "protocol"
+        write_frame(sock, {"op": "ping", "id": 78})
+        assert read_frame(sock) == {"ok": True, "id": 78, "pong": True}
+    finally:
+        sock.close()
+    deadline = time.perf_counter() + 5.0
+    while time.perf_counter() < deadline:
+        if server.stats()["connections_open"] == 0:
+            break
+        time.sleep(0.01)
+    assert server.stats()["connections_open"] == 0
+    assert server.pool.stats()["in_use"] == in_use_before
 
 
 def test_jackpine_service_view_reflects_server(server, database):

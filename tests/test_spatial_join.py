@@ -129,6 +129,121 @@ class TestOperatorsMatchNestedLoop:
             assert sorted(db.execute(sql).rows) == truth, strategy
 
 
+def _street_db(profile: str, seed: int, streets: int = 12) -> Database:
+    """Street blocks: each street a wiggly line cut into consecutive
+    pieces (touching end to end), plus a few pieces re-laid over part of
+    their neighbours (overlapping) — the shape of J-T1's line x line
+    queries, with the attribute columns their residuals test."""
+    from repro.geometry import LineString
+
+    rng = random.Random(seed)
+    db = Database(profile)
+    db.execute(
+        "CREATE TABLE s (id INTEGER, street TEXT, county INTEGER, "
+        "class TEXT, geom GEOMETRY)"
+    )
+    rows = []
+    for n in range(streets):
+        start = (rng.uniform(0.0, 80.0), rng.uniform(0.0, 80.0))
+        end = (start[0] + rng.uniform(5.0, 20.0), start[1] + rng.uniform(5.0, 20.0))
+        coords = shapes.wiggly_line(rng, start, end, segments=9).coords
+        name = f"street {n % 5}"  # shared names across streets
+        county = n % 3
+        kind = "highway" if n % 2 else "local"
+        pieces = [coords[i:i + 3] for i in range(0, len(coords) - 2, 2)]
+        pieces.append(coords[1:4])  # re-laid over two neighbours
+        for piece in pieces:
+            rows.append((len(rows), name, county, kind, LineString(piece)))
+    db.insert_rows("s", rows)
+    db.execute("CREATE SPATIAL INDEX si ON s (geom)")
+    db.execute("ANALYZE")
+    return db
+
+
+#: residual-bearing self-joins shaped like J-T1's line_touches_line and
+#: line_overlaps_line (attribute conjuncts beside the spatial one)
+RESIDUAL_JOINS = (
+    "SELECT a.id, b.id FROM s a JOIN s b ON ST_Touches(a.geom, b.geom) "
+    "WHERE a.id < b.id AND a.street = b.street AND a.county = b.county",
+    "SELECT a.id, b.id FROM s a JOIN s b ON ST_Overlaps(a.geom, b.geom) "
+    "WHERE a.id < b.id AND a.class = 'highway'",
+    "SELECT a.id, b.id FROM s a JOIN s b ON ST_Intersects(a.geom, b.geom) "
+    "WHERE a.county = b.county AND ST_Touches(a.geom, b.geom)",
+)
+
+
+class TestCheapResidualsFirst:
+    """Attribute conjuncts run before DE-9IM refinement: same rows under
+    every strategy, and no refinement for a pair they reject."""
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("sql", RESIDUAL_JOINS)
+    def test_residual_joins_agree_with_nested_loop(self, profile, sql):
+        db = _street_db(profile, seed=17)
+        db.join_strategy = "nlj"
+        truth = sorted(db.execute(sql).rows)
+        assert truth, "the data must produce qualifying pairs"
+        for strategy in STRATEGIES + ("auto",):
+            db.join_strategy = strategy
+            assert sorted(db.execute(sql).rows) == truth, (profile, strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES + ("nlj",))
+    def test_refine_never_sees_a_pair_the_residual_rejects(
+        self, strategy, monkeypatch
+    ):
+        db = _street_db("greenwood", seed=17)
+        rows = db.execute("SELECT id, street, county, geom FROM s").rows
+        attrs = {id(geom): (gid, street, county)
+                 for gid, street, county, geom in rows}
+        refined = []
+        profile_class = type(db.profile)  # a frozen dataclass: stub the class
+        real = profile_class.refine_predicate
+
+        def counting_refine(self, name, ga, gb, stats=None):
+            refined.append((attrs[id(ga)], attrs[id(gb)]))
+            return real(self, name, ga, gb, stats)
+
+        monkeypatch.setattr(profile_class, "refine_predicate", counting_refine)
+        db.join_strategy = strategy
+        db.stats.reset()
+        got = db.execute(RESIDUAL_JOINS[0]).rows
+        assert got and refined
+        for (id_1, street_1, county_1), (id_2, street_2, county_2) in refined:
+            assert street_1 == street_2 and county_1 == county_2
+            assert id_1 != id_2
+        if strategy != "nlj":  # forced off the spatial join: a HashJoin
+            # the counters keep their meaning: candidates in, rows out
+            snap = db.stats.snapshot()
+            assert snap["join_pairs_emitted"] == len(got)
+            assert snap["join_pairs_considered"] >= len(refined)
+
+    def test_cheap_first_is_a_stable_partition(self):
+        from repro.sql.parser import parse
+        from repro.sql.planner import cheap_first, split_conjuncts
+
+        stmt = parse(
+            "SELECT 1 FROM s a, s b WHERE ST_Touches(a.geom, b.geom) "
+            "AND a.street = b.street AND ST_Distance(a.geom, b.geom) < 1 "
+            "AND a.id < b.id AND a.geom && b.geom AND a.county = b.county"
+        )
+        written = split_conjuncts(stmt.where)
+        ordered = cheap_first(written)
+        expected = [written[i] for i in (1, 3, 4, 5, 0, 2)]
+        assert [id(c) for c in ordered] == [id(c) for c in expected]
+
+    def test_written_order_holds_among_cheap_conjuncts(self):
+        db = _street_db("greenwood", seed=17)
+        # a false first conjunct short-circuits the division by zero...
+        assert db.execute(
+            "SELECT COUNT(*) FROM s WHERE id < 0 AND 1 / (id - id) = 1"
+        ).rows == [(0,)]
+        # ...which the written order would reach first the other way round
+        with pytest.raises(Exception):
+            db.execute(
+                "SELECT COUNT(*) FROM s WHERE 1 / (id - id) = 1 AND id < 0"
+            )
+
+
 class TestIndexJoinProperty:
     """``SpatialIndex.join`` equals the brute-force pair set for every
     index kind combination, including the generic cross-kind fallback."""
